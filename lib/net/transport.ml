@@ -1,7 +1,8 @@
 (* The transport boundary: a datagram carrier for encoded Wire frames.
-   Implementations sit under the member capability closures — send
-   maps to one datagram per destination, drain pumps every pending
-   datagram through the codec and hands decoded messages up. *)
+   Implementations sit under the member capability closures — a send
+   or multicast is one encode and one datagram per destination, drain
+   pumps every pending datagram through the codec and hands decoded
+   messages up. *)
 
 type stats = {
   mutable datagrams_sent : int;
@@ -35,6 +36,9 @@ let pp_stats fmt s =
 
 module type S = sig
   type t
+
+  val multicast :
+    t -> src:Node_id.t -> ?reach:(Node_id.t -> bool) -> Node_id.t array -> Rrmp.Wire.t -> unit
 
   val send : t -> src:Node_id.t -> dst:Node_id.t -> Rrmp.Wire.t -> unit
 

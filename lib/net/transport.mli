@@ -28,9 +28,16 @@ val pp_stats : Format.formatter -> stats -> unit
 module type S = sig
   type t
 
+  val multicast :
+    t -> src:Node_id.t -> ?reach:(Node_id.t -> bool) -> Node_id.t array -> Rrmp.Wire.t -> unit
+  (** Encode once and emit one datagram from [src]'s endpoint to each
+      node of the array other than [src] that [reach] accepts. Never
+      raises on traffic conditions; counts drops instead, exactly as
+      one [send] per destination would. *)
+
   val send : t -> src:Node_id.t -> dst:Node_id.t -> Rrmp.Wire.t -> unit
-  (** Encode and emit one datagram from [src]'s endpoint to [dst]'s.
-      Never raises on traffic conditions; counts drops instead. *)
+  (** Encode and emit one datagram from [src]'s endpoint to [dst]'s,
+      counting drops exactly as [multicast] does. *)
 
   val drain : t -> handle:(src:Node_id.t -> dst:Node_id.t -> Rrmp.Wire.t -> unit) -> int
   (** Pump every currently-pending datagram: decode and pass each to

@@ -3,16 +3,21 @@
    parallel test runs included) and the port learned from getsockname
    identifies the sender on receipt.
 
-   Hot-path discipline: sends encode into a preallocated Codec.Ring
-   slot and cross into the kernel through one reused Bytes scratch
-   (the Unix sendto/recvfrom API takes Bytes, not Bigarray — the blit
-   is a plain char loop); receives land in one scratch, are validated
-   by a pooled Codec decoder, and only materialize a Wire.t (fresh
-   payload bodies, safe for the member to retain) once the frame has
-   passed validation. Loss injection for controlled experiments sits
-   on the send side — a dropped datagram never costs a syscall — and
-   is driven by an explicit seeded Rng, so a loss schedule is
-   reproducible for a fixed send sequence. *)
+   Hot-path discipline. A multicast names a sender and a destination
+   array and runs one loop over it (a unicast is the same step for one
+   destination): the seeded loss coin is drawn once per destination,
+   in array order, so a dropped datagram never costs a syscall and the
+   drop schedule is the same as one send per destination; the frame is
+   encoded once, at the first destination that survives the coin, into
+   one preallocated frame buffer, and copied once into the Bytes
+   scratch that Unix.sendto takes; every later survivor is one more
+   sendto of the same bytes. Nothing is cached across sends, so a frame can never go
+   out as another message's bytes. Receives land in one scratch, are
+   word-copied into a frame buffer, validated by a pooled Codec
+   decoder, and only materialize a Wire.t (fresh payload bodies, safe
+   for the member to retain) once the frame has passed validation.
+   The copies between Bigarray and Bytes are Codec's word loops,
+   8 bytes per step. *)
 
 type t = {
   nodes : Node_id.t array;
@@ -20,10 +25,11 @@ type t = {
   addrs : Unix.sockaddr array;  (* indexed like [nodes] *)
   index_of : (int, int) Hashtbl.t;  (* node id -> index *)
   port_of : (int, int) Hashtbl.t;  (* udp port -> index *)
-  ring : Rrmp.Codec.Ring.t;
+  send_frame : Rrmp.Codec.buf;
   send_scratch : Bytes.t;
   recv_scratch : Bytes.t;
   recv_frame : Rrmp.Codec.buf;
+  mutable recv_port : int;  (* sender port of the last datagram received *)
   dec : Rrmp.Codec.decoder;
   loss : float;
   rng : Engine.Rng.t;
@@ -35,13 +41,15 @@ let stats t = t.st
 
 let nodes t = t.nodes
 
+let index_exn t node =
+  match Hashtbl.find t.index_of (Node_id.to_int node) with
+  | i -> i
+  | exception Not_found -> invalid_arg "Udp_loopback: node not part of this transport"
+
 let port t node =
-  match Hashtbl.find_opt t.index_of (Node_id.to_int node) with
-  | None -> invalid_arg "Udp_loopback.port: unknown node"
-  | Some i -> (
-    match t.addrs.(i) with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> invalid_arg "Udp_loopback.port: not an inet endpoint")
+  match t.addrs.(index_exn t node) with
+  | Unix.ADDR_INET (_, p) -> p
+  | Unix.ADDR_UNIX _ -> invalid_arg "Udp_loopback.port: not an inet endpoint"
 
 let create ?(loss = 0.0) ?(seed = 0x6e6574) ?(slot_bytes = 65536) ~nodes () =
   if loss < 0.0 || loss > 1.0 then invalid_arg "Udp_loopback.create: loss outside [0, 1]";
@@ -75,10 +83,11 @@ let create ?(loss = 0.0) ?(seed = 0x6e6574) ?(slot_bytes = 65536) ~nodes () =
     addrs;
     index_of;
     port_of;
-    ring = Rrmp.Codec.Ring.create ~slot_bytes ~slots:4 ();
+    send_frame = Bigarray.Array1.create Bigarray.char Bigarray.c_layout slot_bytes;
     send_scratch = Bytes.create slot_bytes;
     recv_scratch = Bytes.create slot_bytes;
     recv_frame = Bigarray.Array1.create Bigarray.char Bigarray.c_layout slot_bytes;
+    recv_port = -1;
     dec = Rrmp.Codec.create_decoder ();
     loss;
     rng = Engine.Rng.create ~seed;
@@ -86,60 +95,78 @@ let create ?(loss = 0.0) ?(seed = 0x6e6574) ?(slot_bytes = 65536) ~nodes () =
     closed = false;
   }
 
-let index_exn t node =
-  match Hashtbl.find_opt t.index_of (Node_id.to_int node) with
-  | Some i -> i
-  | None -> invalid_arg "Udp_loopback: node not part of this transport"
+let everyone _ = true
 
-(* annotating [frame] keeps the bigarray access monomorphic (direct
-   load/store instead of the generic kind-dispatch primitive) *)
-let rec blit_out (frame : Rrmp.Codec.buf) off (scratch : Bytes.t) i n =
-  if i < n then begin
-    Bytes.unsafe_set scratch i (Bigarray.Array1.unsafe_get frame (off + i));
-    blit_out frame off scratch (i + 1) n
+(* Every datagram leaves through here: one destination of a send.
+   [size] is the frame state of the whole send: -1 until a destination
+   survives the loss coin, then the encoded size (a size above the
+   scratch means oversize, and nothing was encoded). *)
+let emit t src_i dst_i msg size =
+  if t.loss > 0.0 && Engine.Rng.bernoulli t.rng ~p:t.loss then begin
+    t.st.Transport.dropped_loss <- t.st.Transport.dropped_loss + 1;
+    size
+  end
+  else begin
+    let size =
+      if size >= 0 then size
+      else
+        let size = Rrmp.Codec.encoded_size msg in
+        if size <= Bytes.length t.send_scratch then begin
+          ignore (Rrmp.Codec.encode t.send_frame ~off:0 msg : int);
+          Rrmp.Codec.unsafe_blit_to_bytes t.send_frame 0 t.send_scratch 0 size
+        end;
+        size
+    in
+    if size > Bytes.length t.send_scratch then
+      t.st.Transport.dropped_oversize <- t.st.Transport.dropped_oversize + 1
+    else begin
+      match Unix.sendto t.socks.(src_i) t.send_scratch 0 size [] t.addrs.(dst_i) with
+      | _written ->
+        t.st.Transport.datagrams_sent <- t.st.Transport.datagrams_sent + 1;
+        t.st.Transport.bytes_sent <- t.st.Transport.bytes_sent + size
+      | exception
+          Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.ENOBUFS | Unix.ECONNREFUSED), _, _)
+        ->
+        t.st.Transport.dropped_backpressure <- t.st.Transport.dropped_backpressure + 1
+    end;
+    size
   end
 
-let rec blit_in (scratch : Bytes.t) (frame : Rrmp.Codec.buf) i n =
-  if i < n then begin
-    Bigarray.Array1.unsafe_set frame i (Bytes.unsafe_get scratch i);
-    blit_in scratch frame (i + 1) n
+(* every destination at or after [i], except the sender and those
+   [reach] rejects, sharing one frame state *)
+let rec fan t src_i reach dsts msg size i =
+  if i < Array.length dsts then begin
+    let dst = Array.unsafe_get dsts i in
+    let dst_i = index_exn t dst in
+    let size = if dst_i = src_i || not (reach dst) then size else emit t src_i dst_i msg size in
+    fan t src_i reach dsts msg size (i + 1)
+  end
+
+let multicast t ~src ?(reach = everyone) dsts msg =
+  if not t.closed then begin
+    let src_i = index_exn t src in
+    fan t src_i reach dsts msg (-1) 0
   end
 
 let send t ~src ~dst msg =
   if not t.closed then begin
     let src_i = index_exn t src in
-    let dst_i = index_exn t dst in
-    if t.loss > 0.0 && Engine.Rng.bernoulli t.rng ~p:t.loss then
-      t.st.Transport.dropped_loss <- t.st.Transport.dropped_loss + 1
-    else begin
-      let size = Rrmp.Codec.encoded_size msg in
-      if size > Rrmp.Codec.Ring.slot_bytes t.ring then
-        t.st.Transport.dropped_oversize <- t.st.Transport.dropped_oversize + 1
-      else begin
-        let frame = Rrmp.Codec.Ring.buf t.ring in
-        let off = Rrmp.Codec.Ring.acquire t.ring in
-        let size = Rrmp.Codec.encode frame ~off msg in
-        blit_out frame off t.send_scratch 0 size;
-        match Unix.sendto t.socks.(src_i) t.send_scratch 0 size [] t.addrs.(dst_i) with
-        | _written ->
-          t.st.Transport.datagrams_sent <- t.st.Transport.datagrams_sent + 1;
-          t.st.Transport.bytes_sent <- t.st.Transport.bytes_sent + size
-        | exception
-            Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.ENOBUFS | Unix.ECONNREFUSED), _, _)
-          ->
-          t.st.Transport.dropped_backpressure <- t.st.Transport.dropped_backpressure + 1
-      end
-    end
+    ignore (emit t src_i (index_exn t dst) msg (-1) : int)
   end
 
-(* drain one socket until the kernel reports it empty; -1 from the
-   receive means dry *)
+(* one receive into the scratch: the datagram's length, with its
+   sender's port in [recv_port]; -1 means the socket is dry *)
 let[@lint.never_raise] recv_one t i =
   match Unix.recvfrom t.socks.(i) t.recv_scratch 0 (Bytes.length t.recv_scratch) [] with
-  | n, Unix.ADDR_INET (_, sender_port) -> (n, sender_port)
-  | _n, Unix.ADDR_UNIX _ -> (0, -1)
-  | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> (-1, -1)
-  | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> (0, -1)
+  | n, Unix.ADDR_INET (_, sender_port) ->
+    t.recv_port <- sender_port;
+    n
+  | _n, Unix.ADDR_UNIX _ -> 0
+  | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> -1
+  | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> 0
+
+let[@lint.never_raise] sender_index t =
+  match Hashtbl.find t.port_of t.recv_port with i -> i | exception Not_found -> -1
 
 let[@lint.never_raise] drain t ~handle =
   if t.closed then 0
@@ -148,20 +175,20 @@ let[@lint.never_raise] drain t ~handle =
     for i = 0 to Array.length t.socks - 1 do
       let dry = ref false in
       while not !dry do
-        let n, sender_port = recv_one t i in
+        let n = recv_one t i in
         if n < 0 then dry := true
         else if n = 0 then ()
         else begin
           t.st.Transport.datagrams_received <- t.st.Transport.datagrams_received + 1;
           t.st.Transport.bytes_received <- t.st.Transport.bytes_received + n;
-          blit_in t.recv_scratch t.recv_frame 0 n;
+          Rrmp.Codec.unsafe_blit_from_bytes t.recv_scratch 0 t.recv_frame 0 n;
           match Rrmp.Codec.read t.dec t.recv_frame ~off:0 ~len:n with
           | Rrmp.Codec.Err _ ->
             t.st.Transport.decode_errors <- t.st.Transport.decode_errors + 1
-          | Rrmp.Codec.Ok_frame -> (
-            match Hashtbl.find_opt t.port_of sender_port with
-            | None -> t.st.Transport.decode_errors <- t.st.Transport.decode_errors + 1
-            | Some src_i ->
+          | Rrmp.Codec.Ok_frame ->
+            let src_i = sender_index t in
+            if src_i < 0 then t.st.Transport.decode_errors <- t.st.Transport.decode_errors + 1
+            else begin
               let msg =
                 (Rrmp.Codec.view t.dec ~copy:true)
                 [@lint.allow
@@ -169,7 +196,8 @@ let[@lint.never_raise] drain t ~handle =
                    just after read returned Ok_frame"]
               in
               incr handed;
-              handle ~src:t.nodes.(src_i) ~dst:t.nodes.(i) msg)
+              handle ~src:t.nodes.(src_i) ~dst:t.nodes.(i) msg
+            end
         end
       done
     done;

@@ -3,10 +3,10 @@
     One socket per member, bound to an ephemeral port (learned back
     through getsockname, so parallel runs never collide); the sender
     of a received datagram is identified by its source port. Frames
-    travel through {!Rrmp.Codec}: sends encode into a preallocated
-    ring, receives validate through a pooled decoder and only
-    materialize messages that parse — corrupt or foreign datagrams
-    are counted, never raised.
+    travel through {!Rrmp.Codec}: a send encodes its frame once, however
+    many destinations it has; receives validate through a pooled
+    decoder and only materialize messages that parse — corrupt or
+    foreign datagrams are counted, never raised.
 
     Transport-level loss injection ([loss], decided by a seeded
     {!Engine.Rng} on the send side) gives controlled-loss experiments
@@ -22,10 +22,24 @@ val create :
     @raise Invalid_argument on a loss outside [0, 1] (and
     @raise Unix.Unix_error if sockets cannot be opened at all). *)
 
-val send : t -> src:Node_id.t -> dst:Node_id.t -> Rrmp.Wire.t -> unit
-(** Encode and emit one datagram from [src]'s socket to [dst]'s port.
+val multicast :
+  t -> src:Node_id.t -> ?reach:(Node_id.t -> bool) -> Node_id.t array -> Rrmp.Wire.t -> unit
+(** [multicast t ~src ~reach dsts msg] emits one datagram from [src]'s
+    socket to every node of [dsts] other than [src] that [reach]
+    accepts (default: all), in array order. The loss coin is drawn
+    once per such destination, in that order — the drop schedule and
+    every {!stats} counter are those of one {!send} per destination.
+    The frame is encoded once, at the first destination that survives
+    the coin, and each survivor costs one [sendto] of the same bytes.
     Injected loss, kernel backpressure and oversize frames are counted
     in {!stats}, not raised.
+    @raise Invalid_argument if [src] or a destination is not part of
+    this transport. *)
+
+val send : t -> src:Node_id.t -> dst:Node_id.t -> Rrmp.Wire.t -> unit
+(** One datagram from [src]'s socket to [dst]'s port, through the
+    same per-destination step as {!multicast} (loss coin, encode,
+    [sendto]); unlike a multicast, a node may send to itself.
     @raise Invalid_argument if either node is not part of this
     transport. *)
 

@@ -129,14 +129,52 @@ let header_sum b off = header_sum_from b off 0 0x9e37
 
 let rec zero_fill b off n = if n > 0 then begin set8 b off 0; zero_fill b (off + 1) (n - 1) end
 
-(* the [buf] annotations matter: an unconstrained bigarray parameter
-   stays polymorphic in kind and layout, and every unsafe_get/set then
-   compiles to the generic runtime-dispatch primitive — measured ~8x
-   slower than the monomorphic direct load/store *)
-let rec blit_body (src : buf) (b : buf) off i n =
-  if i < n then begin
-    Bigarray.Array1.unsafe_set b (off + i) (Bigarray.Array1.unsafe_get src i);
-    blit_body src b off (i + 1) n
+(* Word copies: 8 bytes per step through the compiler's unaligned
+   64-bit load/store primitives, then the tail byte by byte. Native
+   code keeps the loaded word in a register (no Int64 box, even
+   without flambda — the alloc/codec-* gates hold it at 0.0 words/op);
+   the bytes move in host order on both sides, so no swap is needed.
+   The [buf] annotations matter: an unconstrained bigarray parameter
+   stays polymorphic in kind and layout, and every access then
+   compiles to the generic runtime-dispatch primitive. No bounds
+   checks: callers verify both extents first. *)
+
+external buf_get64 : buf -> int -> int64 = "%caml_bigstring_get64u"
+
+external buf_set64 : buf -> int -> int64 -> unit = "%caml_bigstring_set64u"
+
+external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let rec unsafe_blit (src : buf) soff (dst : buf) doff n =
+  if n >= 8 then begin
+    buf_set64 dst doff (buf_get64 src soff);
+    unsafe_blit src (soff + 8) dst (doff + 8) (n - 8)
+  end
+  else if n > 0 then begin
+    Bigarray.Array1.unsafe_set dst doff (Bigarray.Array1.unsafe_get src soff);
+    unsafe_blit src (soff + 1) dst (doff + 1) (n - 1)
+  end
+
+let rec unsafe_blit_to_bytes (src : buf) soff dst doff n =
+  if n >= 8 then begin
+    bytes_set64 dst doff (buf_get64 src soff);
+    unsafe_blit_to_bytes src (soff + 8) dst (doff + 8) (n - 8)
+  end
+  else if n > 0 then begin
+    Bytes.unsafe_set dst doff (Bigarray.Array1.unsafe_get src soff);
+    unsafe_blit_to_bytes src (soff + 1) dst (doff + 1) (n - 1)
+  end
+
+let rec unsafe_blit_from_bytes src soff (dst : buf) doff n =
+  if n >= 8 then begin
+    buf_set64 dst doff (bytes_get64 src soff);
+    unsafe_blit_from_bytes src (soff + 8) dst (doff + 8) (n - 8)
+  end
+  else if n > 0 then begin
+    Bigarray.Array1.unsafe_set dst doff (Bytes.unsafe_get src soff);
+    unsafe_blit_from_bytes src (soff + 1) dst (doff + 1) (n - 1)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -181,7 +219,7 @@ let encode_payload b ~off ~tag p =
   write_header b off ~tag ~var_len:n
     ~source_i:(Node_id.to_int (Protocol.Msg_id.source pid))
     ~seq_i:(Protocol.Msg_id.seq pid) ~count:0;
-  blit_body (Payload.body p) b (off + header_bytes) 0 n
+  unsafe_blit (Payload.body p) 0 b (off + header_bytes) n
 
 (* control frame whose only content is the message id *)
 let encode_id_control b ~off ~tag mid =
@@ -208,7 +246,7 @@ let rec encode_handoff_entries b cursor = function
     set_u64 b cursor (Node_id.to_int (Protocol.Msg_id.source pid));
     set_u64 b (cursor + 8) (Protocol.Msg_id.seq pid);
     set_u64 b (cursor + 16) n;
-    blit_body (Payload.body p) b (cursor + 24) 0 n;
+    unsafe_blit (Payload.body p) 0 b (cursor + 24) n;
     encode_handoff_entries b (cursor + 24 + n) rest
 
 let encode_handoff b ~off payloads ~size =
@@ -408,13 +446,7 @@ let[@lint.never_raise] read d b ~off ~len =
 
 let fresh_copy (b : buf) off len : buf =
   let body = Bigarray.Array1.create Bigarray.char Bigarray.c_layout len in
-  let rec go i =
-    if i < len then begin
-      Bigarray.Array1.unsafe_set body i (Bigarray.Array1.unsafe_get b (off + i));
-      go (i + 1)
-    end
-  in
-  go 0;
+  unsafe_blit b off body 0 len;
   body
 
 let slice ~copy b off len =
@@ -483,33 +515,3 @@ let view d ~copy =
 let decode ?(copy = true) b ~off ~len =
   let d = create_decoder () in
   match read d b ~off ~len with Ok_frame -> Ok (view d ~copy) | Err e -> Error e
-
-(* ------------------------------------------------------------------ *)
-(* Preallocated encode ring                                            *)
-(* ------------------------------------------------------------------ *)
-
-module Ring = struct
-  type t = { rbuf : buf; slot_bytes : int; slots : int; mutable next : int }
-
-  let create ?(slot_bytes = 65536) ?(slots = 16) () =
-    if slot_bytes < control_bytes then invalid_arg "Codec.Ring.create: slot below 64 bytes";
-    if slots < 1 then invalid_arg "Codec.Ring.create: need at least one slot";
-    {
-      rbuf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (slot_bytes * slots);
-      slot_bytes;
-      slots;
-      next = 0;
-    }
-
-  let buf t = t.rbuf
-
-  let slot_bytes t = t.slot_bytes
-
-  let slots t = t.slots
-
-  let acquire t =
-    let off = t.next * t.slot_bytes in
-    t.next <- t.next + 1;
-    if t.next = t.slots then t.next <- 0;
-    off
-end

@@ -80,36 +80,28 @@ val view : decoder -> copy:bool -> Wire.t
 (** Materialize the last successfully read frame. With [copy:false],
     payload bodies are zero-copy sub-slices of the read buffer — valid
     only until the caller reuses that storage (a transport's receive
-    scratch, a {!Ring} slot); with [copy:true] bodies are fresh
-    off-heap allocations safe to retain (what a member's buffer
-    needs). Control frames never reference the buffer after [view].
+    scratch, say); with [copy:true] bodies are fresh off-heap
+    allocations safe to retain (what a member's buffer needs). Control frames never reference the buffer after [view].
     @raise Invalid_argument if the last {!read} did not return
     [Ok_frame]. *)
+
+val unsafe_blit : buf -> int -> buf -> int -> int -> unit
+(** [unsafe_blit src soff dst doff n] copies [n] bytes, 8 per step
+    (unaligned 64-bit loads and stores), then the tail byte by byte.
+    Allocation-free. No bounds checks: the caller guarantees both
+    ranges lie inside their buffers. The encoder's body copies and
+    [view ~copy:true] run through it. *)
+
+val unsafe_blit_to_bytes : buf -> int -> Bytes.t -> int -> int -> unit
+(** The same word copy from a frame buffer into [Bytes] (the
+    [Unix.sendto] side of a transport). Unchecked, like {!unsafe_blit}. *)
+
+val unsafe_blit_from_bytes : Bytes.t -> int -> buf -> int -> int -> unit
+(** The same word copy from [Bytes] into a frame buffer (the
+    [Unix.recvfrom] side of a transport). Unchecked, like
+    {!unsafe_blit}. *)
 
 val decode : ?copy:bool -> buf -> off:int -> len:int -> (Wire.t, error) result
 (** One-shot [read] + [view] through a fresh decoder; [copy] defaults
     to [true]. Never raises on arbitrary bytes (the fuzz suite's
     entry point). *)
-
-(** A preallocated ring of encode slots: acquire an offset, encode into
-    it, hand the bytes to the transport before the ring wraps around.
-    Acquisition is an int bump — no allocation, no ownership handles;
-    the slot count bounds how many in-flight frames may coexist. *)
-module Ring : sig
-  type t
-
-  val create : ?slot_bytes:int -> ?slots:int -> unit -> t
-  (** Defaults: 16 slots of 64 KiB (a slot must hold the largest frame
-      you encode; 64 KiB covers any UDP datagram).
-      @raise Invalid_argument on a slot below 64 bytes or zero slots. *)
-
-  val buf : t -> buf
-  (** The shared backing storage all slots live in. *)
-
-  val slot_bytes : t -> int
-
-  val slots : t -> int
-
-  val acquire : t -> int
-  (** Next slot's offset into {!buf}; wraps around. *)
-end

@@ -60,6 +60,14 @@ let examples () =
     Wire.History [];
     Wire.Gossip [ (node 0, 12); (node 9, 0) ];
     Wire.Gossip [];
+    (* bodies around the 8-byte word copy: tail only, one word plus a
+       tail, and a tail on either side of 1 KiB *)
+    Wire.Data (p 1 20);
+    Wire.Repair (p 7 21);
+    Wire.Regional_repair (p 9 22);
+    Wire.Data (p 1023 23);
+    Wire.Repair (p 1025 24);
+    Wire.Handoff [ p 1 25; p 7 26; p 9 27; p 1023 28; p 1025 29 ];
   ]
 
 let test_sizes_match_wire_bytes () =
@@ -85,7 +93,7 @@ let test_round_trip_units () =
             Alcotest.(check bool)
               (Format.asprintf "round trip %a" Wire.pp msg)
               true (wire_equal msg msg'))
-        [ 0; 128 ])
+        [ 0; 3; 128 ])
     (examples ())
 
 let test_zero_copy_aliases () =
@@ -164,6 +172,60 @@ let test_header_corruption_detected () =
   match Codec.decode b ~off:0 ~len:size with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "restored frame must decode: %s" (Codec.error_to_string e)
+
+(* ------------------------------------------------------------------ *)
+(* Word copies against the byte loop                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* all three word copies of [len] bytes from [soff] to [doff] must
+   leave the destination exactly as a byte-by-byte copy would: the
+   copied range equal to the source, every other byte untouched *)
+let word_copies_match ~len ~soff ~doff =
+  let cap = len + 16 in
+  let src_bytes = Bytes.init cap (fun i -> Char.chr (((i * 131) + len) land 0xff)) in
+  let src = fresh_buf cap in
+  Bytes.iteri (fun i c -> Bigarray.Array1.set src i c) src_bytes;
+  let background i = Char.chr (((i * 7) + 1) land 0xff) in
+  let expected = Bytes.init cap background in
+  for i = 0 to len - 1 do
+    Bytes.set expected (doff + i) (Bytes.get src_bytes (soff + i))
+  done;
+  let fresh_dst () =
+    let d = fresh_buf cap in
+    for i = 0 to cap - 1 do
+      Bigarray.Array1.set d i (background i)
+    done;
+    d
+  in
+  let buf_matches d =
+    let ok = ref true in
+    for i = 0 to cap - 1 do
+      if not (Char.equal (Bigarray.Array1.get d i) (Bytes.get expected i)) then ok := false
+    done;
+    !ok
+  in
+  let d = fresh_dst () in
+  Codec.unsafe_blit src soff d doff len;
+  let buf_to_buf = buf_matches d in
+  let d = Bytes.init cap background in
+  Codec.unsafe_blit_to_bytes src soff d doff len;
+  let buf_to_bytes = Bytes.equal d expected in
+  let d = fresh_dst () in
+  Codec.unsafe_blit_from_bytes src_bytes soff d doff len;
+  buf_to_buf && buf_to_bytes && buf_matches d
+
+let qcheck_word_copies =
+  QCheck.Test.make ~count:1000 ~name:"word copies equal the byte loop"
+    QCheck.(triple (0 -- 2100) (0 -- 15) (0 -- 15))
+    (fun (len, soff, doff) -> word_copies_match ~len ~soff ~doff)
+
+(* every length once; the offsets walk all 256 (soff, doff) pairs *)
+let test_word_copies_every_length () =
+  for len = 0 to 2100 do
+    let soff = len mod 16 and doff = len / 16 mod 16 in
+    if not (word_copies_match ~len ~soff ~doff) then
+      Alcotest.failf "word copy differs: len %d soff %d doff %d" len soff doff
+  done
 
 (* ------------------------------------------------------------------ *)
 (* qcheck generators over all 11 constructors                          *)
@@ -289,6 +351,7 @@ let suites =
         Alcotest.test_case "view without frame raises" `Quick test_view_without_read_raises;
         Alcotest.test_case "encode rejects bad values" `Quick test_encode_rejects_bad_values;
         Alcotest.test_case "header corruption detected" `Quick test_header_corruption_detected;
+        Alcotest.test_case "word copies, every length" `Quick test_word_copies_every_length;
       ]
       @ List.map QCheck_alcotest.to_alcotest
           [
@@ -297,5 +360,6 @@ let suites =
             qcheck_never_raises_on_noise;
             qcheck_rejects_prefixes;
             qcheck_bit_flips;
+            qcheck_word_copies;
           ] );
   ]

@@ -303,12 +303,20 @@ let test_sarif_smoke () =
     s;
   Alcotest.(check bool) "braces balance" true (!ok && !depth = 0)
 
+let test_duplicate_unit_rejected () =
+  (* the same module twice (a stray second build copy) is a hard error *)
+  let cmts = Lint_typed.discover_cmts ~root:fixture_root tcfg in
+  let twice = List.hd cmts :: cmts in
+  Alcotest.(check bool) "duplicate module raises" true
+    (match Lint_typed.analyze tcfg ~cmts:twice with
+     | exception Lint_typed.Duplicate_unit _ -> true
+     | _ -> false)
+
 let test_typed_clean_tree () =
   (* the committed config over the real lib/ cmts: zero unaudited
      P/E/A findings, a call graph of real size, justified audits *)
   let cfg = Config.load (Filename.concat repo_root "lint.toml") in
   let cmts = Lint_typed.discover_cmts ~root:repo_root cfg in
-  Alcotest.(check bool) "lib cmts discovered" true (List.length cmts > 30);
   let r = Lint_typed.analyze ~root:repo_root cfg ~cmts in
   List.iter
     (fun (f : Lint.finding) ->
@@ -316,6 +324,10 @@ let test_typed_clean_tree () =
     r.Lint_typed.findings;
   Alcotest.(check int) "lib/ typed-clean" 0 (List.length r.Lint_typed.findings);
   let s = r.Lint_typed.stats in
+  (* one unit per lib/ module (77) plus each wrapped library's alias
+     module (10), whatever was built before: only .objs/byte is read.
+     Adding or removing a lib/ module moves this count. *)
+  Alcotest.(check int) "one cmt unit per lib module" 87 s.Lint_typed.units;
   Alcotest.(check bool) "whole-program graph built" true
     (s.Lint_typed.defs > 300 && s.Lint_typed.edges > 500);
   Alcotest.(check bool) "decoder read path and transport receive verified" true
@@ -351,6 +363,7 @@ let suites =
         Alcotest.test_case "audited typed suppressions" `Quick test_typed_suppressed;
         Alcotest.test_case "call graph over two units" `Quick test_call_graph;
         Alcotest.test_case "SARIF emitter smoke" `Quick test_sarif_smoke;
+        Alcotest.test_case "duplicate module is an error" `Quick test_duplicate_unit_rejected;
         Alcotest.test_case "lib cmts are typed-clean" `Quick test_typed_clean_tree;
       ] );
     ( "lint.tree",

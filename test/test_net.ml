@@ -164,6 +164,117 @@ let test_unknown_node_raises () =
          | _ -> false))
 
 (* ------------------------------------------------------------------ *)
+(* Encode-once fan-out against one send per destination                *)
+(* ------------------------------------------------------------------ *)
+
+module _ : Transport.S = Udp
+
+(* what a receiver saw, as bytes: (dst, src, re-encoded frame) *)
+let received t =
+  let got = ref [] in
+  let rec pump () =
+    if
+      Udp.drain t ~handle:(fun ~src ~dst m ->
+          let size = Rrmp.Codec.encoded_size m in
+          let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout size in
+          let n = Rrmp.Codec.encode b ~off:0 m in
+          let frame = String.init n (fun i -> Bigarray.Array1.get b i) in
+          got := (Node_id.to_int dst, Node_id.to_int src, frame) :: !got)
+      > 0
+    then pump ()
+  in
+  pump ();
+  List.sort compare !got
+
+(* one multicast per message on one transport, the same messages as a
+   send per destination on a twin with the same loss seed: every
+   receiver must see the same bytes, and the counters (loss schedule
+   included) must agree *)
+let fanout_matches_sends ?slot_bytes ~loss msgs () =
+  let n = 6 in
+  let all = nodes_upto n in
+  let odd dst = Node_id.to_int dst mod 2 = 1 in
+  let make () = Udp.create ~loss ~seed:77 ?slot_bytes ~nodes:all () in
+  let fan = make () and per = make () in
+  Fun.protect
+    ~finally:(fun () ->
+      Udp.close fan;
+      Udp.close per)
+    (fun () ->
+      let fan_got = ref [] and per_got = ref [] in
+      List.iteri
+        (fun k msg ->
+          let src = node (k mod n) in
+          (* every third message filters by [reach]; the rest use the default *)
+          let reach = if k mod 3 = 2 then odd else fun _ -> true in
+          if k mod 3 = 2 then Udp.multicast fan ~src ~reach all msg
+          else Udp.multicast fan ~src all msg;
+          Array.iter
+            (fun dst ->
+              if (not (Node_id.equal dst src)) && reach dst then Udp.send per ~src ~dst msg)
+            all;
+          (* drain every few messages: the socket queues stay short *)
+          if k mod 4 = 3 then begin
+            fan_got := received fan @ !fan_got;
+            per_got := received per @ !per_got
+          end)
+        msgs;
+      fan_got := List.sort compare (received fan @ !fan_got);
+      per_got := List.sort compare (received per @ !per_got);
+      Alcotest.(check int) "same number of frames" (List.length !per_got) (List.length !fan_got);
+      Alcotest.(check bool) "receivers see the same bytes" true (!fan_got = !per_got);
+      let fs = Udp.stats fan and ps = Udp.stats per in
+      Alcotest.(check bool)
+        (Format.asprintf "same stats: %a vs %a" Transport.pp_stats fs Transport.pp_stats ps)
+        true (fs = ps);
+      fs)
+
+let fanout_messages () =
+  let p size seq = Payload.make ~size (mid seq) in
+  List.init 24 (fun k ->
+      match k mod 4 with
+      | 0 -> Wire.Data (p 1024 k)
+      | 1 -> Wire.Have (mid k)
+      | 2 -> Wire.Regional_repair (p (1 + (k * 37)) k)
+      | _ -> Wire.Handoff [ p 9 k; p 1023 (k + 100) ])
+
+let test_fanout_no_loss () =
+  let st = fanout_matches_sends ~loss:0.0 (fanout_messages ()) () in
+  Alcotest.(check int) "nothing dropped" 0 st.Transport.dropped_loss;
+  Alcotest.(check bool) "every datagram arrived" true
+    (st.Transport.datagrams_sent > 0
+    && st.Transport.datagrams_sent = st.Transport.datagrams_received)
+
+let test_fanout_some_loss () =
+  let st = fanout_matches_sends ~loss:0.05 (fanout_messages ()) () in
+  Alcotest.(check bool) "some loss and some delivery" true
+    (st.Transport.dropped_loss > 0 && st.Transport.datagrams_received > 0)
+
+let test_fanout_full_loss () =
+  let st = fanout_matches_sends ~loss:1.0 (fanout_messages ()) () in
+  Alcotest.(check int) "nothing hit the kernel" 0 st.Transport.datagrams_sent;
+  Alcotest.(check bool) "all counted as injected loss" true (st.Transport.dropped_loss > 0)
+
+let test_fanout_oversize () =
+  (* 256-byte slots: the 1 KiB frames are oversize, the control frames
+     still fit; with loss, each destination draws its coin first *)
+  let msgs = fanout_messages () in
+  let st = fanout_matches_sends ~slot_bytes:256 ~loss:0.0 msgs () in
+  Alcotest.(check bool) "oversize counted, small frames sent" true
+    (st.Transport.dropped_oversize > 0 && st.Transport.datagrams_sent > 0);
+  let st = fanout_matches_sends ~slot_bytes:256 ~loss:0.05 msgs () in
+  Alcotest.(check bool) "oversize and loss both counted" true
+    (st.Transport.dropped_oversize > 0 && st.Transport.dropped_loss > 0)
+
+let test_send_to_self () =
+  with_transport ~n:2 (fun t ->
+      Udp.send t ~src:(node 1) ~dst:(node 1) (Wire.Have (mid 3));
+      Udp.multicast t ~src:(node 1) [| node 1 |] (Wire.Have (mid 4));
+      match received t with
+      | [ (1, 1, _) ] -> ()
+      | got -> Alcotest.failf "expected one self-addressed datagram, got %d" (List.length got))
+
+(* ------------------------------------------------------------------ *)
 (* Full protocol recovery over real sockets                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -251,6 +362,11 @@ let suites =
         Alcotest.test_case "seeded loss is deterministic" `Quick
           test_seeded_loss_is_deterministic;
         Alcotest.test_case "unknown node raises" `Quick test_unknown_node_raises;
+        Alcotest.test_case "fan-out = sends, no loss" `Quick test_fanout_no_loss;
+        Alcotest.test_case "fan-out = sends, 5% loss" `Quick test_fanout_some_loss;
+        Alcotest.test_case "fan-out = sends, total loss" `Quick test_fanout_full_loss;
+        Alcotest.test_case "fan-out = sends, oversize" `Quick test_fanout_oversize;
+        Alcotest.test_case "unicast to self, multicast skips self" `Quick test_send_to_self;
         Alcotest.test_case "member loss recovery over UDP" `Quick
           test_member_recovery_over_udp;
       ] );

@@ -556,12 +556,18 @@ let compare_findings a b =
       let c = Int.compare a.col b.col in
       if c <> 0 then c else String.compare a.rule b.rule
 
+(* Once it builds an executable, dune writes an empty interface for it
+   into the build tree, holding only this comment. It is not a source
+   file, and whether it exists depends on what was built before. *)
+let dune_generated ~root rel =
+  String.equal (String.trim (read_file (Filename.concat root rel))) "(* Auto-generated by Dune *)"
+
 let scan_tree ?(root = ".") (cfg : Config.t) =
   let files =
     List.concat_map
       (fun dir -> List.rev (walk ~root dir []))
       cfg.roots
-    |> List.filter (fun f -> not (in_dirs f cfg.exclude))
+    |> List.filter (fun f -> not (in_dirs f cfg.exclude || dune_generated ~root f))
     |> List.sort String.compare
   in
   let keep = ref [] and dropped = ref [] and spans = ref [] in

@@ -173,6 +173,7 @@ type def = {
 type unit_info = {
   u_name : string;  (* normalized unit module name, e.g. "Buffer" *)
   u_file : string;  (* source path, e.g. "lib/rrmp/buffer.ml" *)
+  u_cmt : string;  (* the .cmt it was loaded from *)
   u_str : structure;
   u_stamps : (string, string) Hashtbl.t;  (* Ident.unique_name -> def key *)
 }
@@ -858,11 +859,15 @@ let rec witness_chain g d depth acc =
 (* cmt discovery and loading                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Inside a dune [.objs] directory only [byte] is read: the byte
+   compile writes the cmts the @lint rule depends on, while the native
+   compile (also -bin-annot) may leave a second copy under [native],
+   present or not depending on what was built before. *)
 let rec walk_dir root rel acc =
   let abs = if rel = "" then root else Filename.concat root rel in
   if not (Sys.file_exists abs) then acc
   else if Sys.is_directory abs then begin
-    let entries = Sys.readdir abs in
+    let entries = if Filename.check_suffix rel ".objs" then [| "byte" |] else Sys.readdir abs in
     Array.sort String.compare entries;
     Array.fold_left
       (fun acc name ->
@@ -878,7 +883,7 @@ let rec walk_dir root rel acc =
    the dune build context, whose cwd is _build/default), then
    _build/default/D (running from the workspace root). The first
    prefix that yields any .cmt wins for that dir; within a dir the
-   walk is sorted so reports are stable. *)
+   walk is sorted and skips .objs/native, so reports are stable. *)
 let discover_cmts ?(root = ".") (cfg : Config.t) =
   List.concat_map
     (fun dir ->
@@ -909,8 +914,23 @@ let load_unit g path =
         | None -> raw
       in
       if Lint_core.in_dirs file g.cfg.Config.exclude then None
-      else Some { u_name = name; u_file = file; u_str = str; u_stamps = Hashtbl.create 64 }
+      else
+        Some
+          { u_name = name; u_file = file; u_cmt = path; u_str = str; u_stamps = Hashtbl.create 64 }
     | _ -> None)
+
+exception Duplicate_unit of string * string * string
+
+(* one unit per module name: a second copy would register every def
+   again under a stamp-suffixed key and skew the call graph *)
+let check_unique units =
+  let seen = Hashtbl.create 128 in
+  List.iter
+    (fun u ->
+      match Hashtbl.find_opt seen u.u_name with
+      | Some cmt -> raise (Duplicate_unit (u.u_name, cmt, u.u_cmt))
+      | None -> Hashtbl.replace seen u.u_name u.u_cmt)
+    units
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -932,6 +952,7 @@ let analyze ?(root = ".") (cfg : Config.t) ~cmts =
     }
   in
   let units = List.filter_map (load_unit g) cmts in
+  check_unique units;
   List.iter (fun u -> collect_defs g u) units;
   List.iter (fun u -> walk_unit g u) units;
   let suppressed_sites = prune_suppressed_sites g in
