@@ -85,31 +85,11 @@ let push t value =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-(* Floyd's bottom-up heap construction: O(n) for a bulk load. *)
+(* Floyd's bottom-up heap construction: O(n) over the whole array. *)
 let heapify t =
   for i = (t.size / 2) - 1 downto 0 do
     sift_down t i
   done
-
-let push_list t values =
-  let n = List.length values in
-  if n > 0 then begin
-    ensure_room t n;
-    List.iter
-      (fun v ->
-        t.data.(t.size) <- v;
-        t.seqs.(t.size) <- t.next_seq;
-        t.next_seq <- t.next_seq + 1;
-        t.size <- t.size + 1)
-      values;
-    (* a bulk load into an empty heap can use linear heapify; otherwise
-       restore the invariant per appended element *)
-    if t.size = n then heapify t
-    else
-      for i = t.size - n to t.size - 1 do
-        sift_up t i
-      done
-  end
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
 

@@ -26,10 +26,6 @@ val capacity : 'a t -> int
 
 val push : 'a t -> 'a -> unit
 
-val push_list : 'a t -> 'a list -> unit
-(** Bulk insert, FIFO-ordered within the list among equal priorities.
-    A bulk load into an empty heap uses O(n) bottom-up heapify. *)
-
 val peek : 'a t -> 'a option
 (** Smallest element without removing it. *)
 

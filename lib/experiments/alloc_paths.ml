@@ -8,16 +8,14 @@
    first and subtracted; a path that allocates nothing then reads
    exactly 0.0 words/op, which is what the [exact] gates demand.
 
-   The budgets here are the single source of truth: bench reports them
-   (BENCH_alloc.json) and test/test_alloc_gates.ml asserts them, both
-   through {!run}/{!failures}. *)
+   The budgets here are the single source of truth:
+   test/test_alloc_gates.ml asserts them through {!run}/{!failures}. *)
 
 type result = {
   name : string;
   what : string;
   ops : int;
   minor_words_per_op : float;
-  ns_per_op : float;
   budget : float;
   exact : bool;
 }
@@ -29,27 +27,13 @@ let probe_overhead () =
   let b = Gc.minor_words () in
   b -. a
 
-let[@lint.allow
-     "D1 ns/op is informational wall-clock for the bench JSON only; gate verdicts and every \
-      report read the words column, which is deterministic"] measure ~name ~what ~budget ~exact
-    ~ops f =
+let measure ~name ~what ~budget ~exact ~ops f =
   let overhead = probe_overhead () in
-  let t0 = Sys.time () in
   let w0 = Gc.minor_words () in
   f ();
   let w1 = Gc.minor_words () in
-  let t1 = Sys.time () in
-  let total = float_of_int (max 1 ops) in
   let words = Float.max 0.0 (w1 -. w0 -. overhead) in
-  {
-    name;
-    what;
-    ops;
-    minor_words_per_op = words /. total;
-    ns_per_op = (t1 -. t0) *. 1e9 /. total;
-    budget;
-    exact;
-  }
+  { name; what; ops; minor_words_per_op = words /. float_of_int (max 1 ops); budget; exact }
 
 module Soa = Rrmp.Member_soa
 
@@ -301,9 +285,3 @@ let failures results =
              r.minor_words_per_op r.budget)
       else None)
     results
-
-let pp_result fmt r =
-  Format.fprintf fmt "%-24s %9d ops  %8.3f words/op  (budget %5.1f%s)  %8.1f ns/op" r.name r.ops
-    r.minor_words_per_op r.budget
-    (if r.exact then ", exact" else "")
-    r.ns_per_op

@@ -8,11 +8,9 @@
     (the per-datagram cost of the real-traffic backend) — and charges
     the minor-heap words
     the OCaml runtime allocated against a per-path budget. The budgets
-    are the single source of truth: [bench --alloc-gates] reports them
-    into [BENCH_alloc.json] and the [rrmp.allocation_gates] test suite
-    asserts them on every [dune runtest], so an accidental closure or
-    [Some] box on a hot path fails the build instead of shifting a
-    trajectory number.
+    are the single source of truth: the [rrmp.allocation_gates] test
+    suite asserts them on every [dune runtest], so an accidental
+    closure or [Some] box on a hot path fails the build.
 
     Paths marked {e exact} must allocate {b nothing} — 0.0 words/op
     after subtracting the constant cost of the two [Gc.minor_words]
@@ -25,7 +23,6 @@ type result = {
   minor_words_per_op : float;
       (** minor-heap words per op, probe overhead subtracted, clamped
           at 0 *)
-  ns_per_op : float;  (** CPU time per op (coarse; words are the gate) *)
   budget : float;  (** maximum admissible words/op *)
   exact : bool;  (** gate additionally requires exactly 0.0 *)
 }
@@ -37,5 +34,3 @@ val run : ?quick:bool -> unit -> result list
 
 val failures : result list -> string list
 (** Human-readable violation messages — empty when every gate holds. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -4,8 +4,8 @@
    shrink as the region grows (P = C/n). This experiment holds the
    per-member load fixed and sweeps the region size into the thousands,
    which is only affordable with the coalesced deadline rings
-   ([Config.deadline_quantum] > 0) — the per-message-timer path is the
-   baseline the BENCH_scale.json trajectory compares against.
+   ([Config.deadline_quantum] > 0); [quantum = 0] runs the same
+   workload on the per-message-timer path.
 
    Workload: the sender multicasts [msgs] messages in bursts of
    [burst], [gap] ms apart; every receiver independently misses each
@@ -18,8 +18,7 @@
 
    The report contains only simulation-domain quantities (latency,
    occupancy, event counts), never wall-clock, so seeded output is
-   byte-identical across machines and -j levels; wall-clock lives in
-   BENCH_scale.json. *)
+   byte-identical across machines and -j levels. *)
 
 type run_stats = {
   members : int;
@@ -33,7 +32,7 @@ type run_stats = {
 }
 
 let run_once ~n ~msgs ~burst ?(gap = 25.0) ?(loss_frac = 0.05) ?(lifetime = 400.0)
-    ~quantum ~seed ?(observe = true) () =
+    ~quantum ~seed () =
   let topology = Topology.single_region ~size:n in
   let config =
     {
@@ -46,19 +45,15 @@ let run_once ~n ~msgs ~burst ?(gap = 25.0) ?(loss_frac = 0.05) ?(lifetime = 400.
   in
   let recovered = ref 0 in
   let latency_sum = ref 0.0 in
-  let observer =
-    if not observe then None
-    else
-      Some
-        (fun ~time:_ ~self:_ event ->
-          match event with
-          | Rrmp.Events.Recovered { latency; _ } ->
-            incr recovered;
-            latency_sum := !latency_sum +. latency
-          | _ -> ())
+  let observer ~time:_ ~self:_ event =
+    match event with
+    | Rrmp.Events.Recovered { latency; _ } ->
+      incr recovered;
+      latency_sum := !latency_sum +. latency
+    | _ -> ()
   in
   let metrics = Tracing.Metrics.create () in
-  let group = Rrmp.Group.create ~seed ~config ?observer ~metrics ~topology () in
+  let group = Rrmp.Group.create ~seed ~config ~observer ~metrics ~topology () in
   let sim = Rrmp.Group.sim group in
   let reach_rng = Engine.Rng.create ~seed:(seed lxor 0x5CA1E) in
   let bursts = (msgs + burst - 1) / burst in
@@ -145,8 +140,8 @@ let run ?(sizes = [ 256; 1024; 2048; 5000 ]) ?(msgs = 48) ?(burst = 8) ?(trials 
           msgs burst trials quantum;
         "recovery latency and occupancy should stay flat as n grows (P = C/n keeps \
          per-member work constant); sim events grow linearly with n";
-        "sim-domain values only: wall-clock for this sweep (ring vs per-message timers) \
-         is tracked in BENCH_scale.json";
+        "sim-domain values only: the report carries no wall-clock, so it is \
+         byte-identical on every host";
       ]
     rows
 
@@ -309,8 +304,8 @@ let run_1m ?(cells = [ (1024, 1024) ]) ?(msgs = 8) ?(burst = 4) ?(trials = 1)
     ~closing_note:
       "the 10^6-member cell is the per-shard-spine acceptance workload: per-region \
        fixed cost is a handful of words (flat session arrays + arena slices), so \
-       region count scales into the thousands; wall-clock and peak heap live in \
-       BENCH_scale.json"
+       region count scales into the thousands; perfbench's scale_1m workload measures \
+       its wall-clock and peak RSS"
     ~cells ~msgs ~burst ~trials ~quantum ~seed ()
 
 (* ------------------------------------------------------------------ *)

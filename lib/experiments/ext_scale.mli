@@ -4,9 +4,7 @@
 
     Reports recovery latency, buffer occupancy and simulator event
     counts per region size — simulation-domain values only, so seeded
-    reports are byte-identical everywhere; the wall-clock side of the
-    sweep (deadline ring vs per-message timers) lives in
-    [BENCH_scale.json]. *)
+    reports are byte-identical everywhere. *)
 
 type run_stats = {
   members : int;
@@ -18,26 +16,6 @@ type run_stats = {
   peak_buffered : int;
   sim_events : int;
 }
-
-val run_once :
-  n:int ->
-  msgs:int ->
-  burst:int ->
-  ?gap:float ->
-  ?loss_frac:float ->
-  ?lifetime:float ->
-  quantum:float ->
-  seed:int ->
-  ?observe:bool ->
-  unit ->
-  run_stats
-(** One seeded run: [msgs] sender multicasts in bursts of [burst]
-    every [gap] ms (default 25), each receiver missing each message
-    independently with probability [loss_frac] (default 0.05), long-term
-    lifetime [lifetime] ms (default 400), deadline quantum [quantum]
-    (0 = exact per-message timers — the benchmark baseline).
-    [observe] = false skips the event observer so the benchmark can
-    measure the allocation-free path. *)
 
 val run :
   ?sizes:int list ->
@@ -67,7 +45,11 @@ val run_once_sharded :
     [per_region] members in a one-hop star under the sender's region,
     partitioned over [shards] (default {!Engine.Shard.default_shards};
     may exceed [regions] — surplus shards stay empty) conservative-time
-    shards. Same workload shape as {!run_once}. Returns [(stats,
+    shards. The workload: [msgs] sender multicasts in bursts of
+    [burst] every [gap] ms (default 25), each receiver missing each
+    message independently with probability [loss_frac] (default
+    0.05), long-term lifetime [lifetime] ms (default 400), deadline
+    quantum [quantum]. Returns [(stats,
     cross_region_parcels, long_term_bufferers_total)]. Every returned
     value is shard-count invariant. [observe] attaches a counting
     per-shard observer (exercises the observed path; default [false]
@@ -107,5 +89,6 @@ val region_overhead : ?probe_regions:int -> ?regions:int -> ?cap:int -> unit -> 
     [probe_regions]-region and a [regions]-region build (size-1
     regions, session ticker off, shards = 1) — heap words allocated by
     {!Rrmp.Sharded.create} and Sim schedules to drain one full-reach
-    multicast, per additional region. The bench gates this against the
-    spine budget. Runs the simulation twice; single-domain only. *)
+    multicast, per additional region. The [rrmp.sharded] tests gate
+    this against the spine budget. Runs the simulation twice;
+    single-domain only. *)

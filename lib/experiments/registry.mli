@@ -1,14 +1,13 @@
 (** Catalogue of every reproduced figure and extension experiment:
-    the CLI and the bench harness iterate over this list. *)
+    the CLI and the benchmark iterate over this list. *)
 
 type entry = {
   id : string;
   description : string;
   paper_ref : string;  (** figure/section in the paper, or "extension" *)
   run : quick:bool -> Report.t;
-      (** [quick:true] trades trial counts for runtime (used by CI and
-          the bench harness); [quick:false] runs publication-grade
-          replication. *)
+      (** [quick:true] trades trial counts for runtime (used by the
+          tests); [quick:false] runs publication-grade replication. *)
 }
 
 val all : entry list

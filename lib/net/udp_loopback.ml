@@ -63,7 +63,7 @@ let create ?(loss = 0.0) ?(seed = 0x6e6574) ?(slot_bytes = 65536) ~nodes () =
         Unix.set_nonblock sock;
         (* ask for roomy queues; the kernel clamps to its limits, and
            overflow beyond that shows up as real drops the protocol's
-           recovery has to repair — which is the point of the bench *)
+           recovery has to repair *)
         (try Unix.setsockopt_int sock Unix.SO_RCVBUF (4 * 1024 * 1024) with Unix.Unix_error _ -> ());
         Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
         sock)

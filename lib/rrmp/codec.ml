@@ -30,7 +30,7 @@
    end-to-end body integrity is the application's concern
    (Payload.intact / Payload.checksum).
 
-   The encode and [read] paths carry rrmp_lint's H1+H2 contract: no
+   The encode and [read] paths carry rrmp_lint's H1 and A contract: no
    list/closure/Some/tuple allocation, manual recursion instead of
    higher-order walks, and every multi-byte field is assembled from
    plain ints (no Int64 boxing). Encoded values must fit 62 bits; the

@@ -22,7 +22,6 @@ type t = {
   buffering : buffering_policy;
   selection : bufferer_selection;
   deadline_quantum : float;
-  wire_arena : bool;
 }
 
 let default =
@@ -40,7 +39,6 @@ let default =
     buffering = Two_phase;
     selection = Randomized;
     deadline_quantum = 0.0;
-    wire_arena = true;
   }
 
 let validate t =
@@ -89,6 +87,4 @@ let pp fmt t =
     (match t.session_interval with None -> "off" | Some i -> Printf.sprintf "%.0fms" i);
   (* printed only when enabled so exact-mode (paper-scale) report text
      is unchanged by the field's existence *)
-  if t.deadline_quantum > 0.0 then Format.fprintf fmt " quantum=%.1fms" t.deadline_quantum;
-  (* same rationale: only the non-default (reference) mode is shown *)
-  if not t.wire_arena then Format.fprintf fmt " wire_arena=off"
+  if t.deadline_quantum > 0.0 then Format.fprintf fmt " quantum=%.1fms" t.deadline_quantum

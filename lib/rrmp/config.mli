@@ -83,15 +83,6 @@ type t = {
           quantum late (never early), in exchange for O(1)
           allocation-free deadline touches and O(distinct buckets)
           scheduler entries — the large-[n] scale-out mode. *)
-  wire_arena : bool;
-      (** route hot-path sends ([Data]/[Repair]/[Regional_repair]/
-          [Local_request]/[Remote_request]/[Session]) through the
-          member's {!Wire_arena}, which interns the wire cells so a
-          steady-state resend allocates nothing. [true] (the default)
-          changes no observable behaviour — arena cells are
-          structurally equal to fresh constructions, which the
-          lockstep test suite enforces; [false] builds every message
-          fresh (the reference path). *)
 }
 
 val default : t

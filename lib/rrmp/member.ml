@@ -749,7 +749,7 @@ let create ~net ~config ~rng ~node ?caps ?observer ?metrics () =
       view;
       recv = Recv_log.create ();
       buffer = Buffer.create ~sim:(Network.sim net);
-      arena = Wire_arena.create ~enabled:config.Config.wire_arena ~origin:node ();
+      arena = Wire_arena.create ~origin:node ();
       observer;
       observing = observer <> None;
       recoveries = Msg_id.Table.create 16;

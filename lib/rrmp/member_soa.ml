@@ -252,9 +252,7 @@ let bucket_push b packed =
    barrier-driven mode a new bucket costs nothing beyond the table
    entry — the owning shard sweeps it from the window loop — so an
    arena shared by many regions schedules no Sim events at all. *)
-let[@lint.allow
-     "H2 the sweep thunk is built once per NEW tick bucket and amortized over every key \
-      armed into it; the steady state takes the find arm above"] rec enqueue t tick packed =
+let rec enqueue t tick packed =
   match Tick_tbl.find t.buckets tick with
   | b -> bucket_push b packed
   | exception Not_found ->
@@ -365,7 +363,7 @@ let touch t m seq ~now =
      open-coded here so the float argument can never be boxed at a
      call boundary: without flambda the [@inline] hint on tick_of is
      advisory, and this path is specified allocation-free (asserted by
-     the soa-touch row in the scale bench). *)
+     the alloc/deadline-touch gate). *)
   if ba_get t.idle_tick k <> 0 then
     ba_set t.idle_tick k (int_of_float (Float.ceil ((now +. t.idle_timeout) /. t.quantum)));
   if ba_get t.life_tick k <> 0 then

@@ -1,10 +1,9 @@
-(** Reference model for {!Gap_detect}: the original [Set.Make(Int)]
+(** Reference model for {!Protocol.Gap_detect}: the original [Set.Make(Int)]
     implementation kept as an executable specification. State grows
     with session length — O(received) memory, O(log n) per operation —
     which is exactly why the production detector replaced it; the
-    qcheck model suites check the two agree on every observable, and
-    the protocol-state bench reports this model as the "before"
-    column. The signature mirrors {!Gap_detect}. *)
+    qcheck model suites check the two agree on every observable. The
+    signature mirrors {!Protocol.Gap_detect}. *)
 
 type t
 

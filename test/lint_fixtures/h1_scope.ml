@@ -1,4 +1,4 @@
-(* H1/H2 suppression scoping: the audit may sit on the enclosing let
+(* H1 suppression scoping: the audit may sit on the enclosing let
    (either attachment the parser produces — binding or pattern) or on
    the allocating expression itself; every placement must clear it *)
 let[@lint.allow "H1 fixture: enclosing-let placement"] joined a b = a @ b

@@ -211,17 +211,6 @@ let test_heap_clear () =
   Heap.push h 9;
   Alcotest.(check (option int)) "usable after clear" (Some 9) (Heap.pop h)
 
-let test_heap_push_list () =
-  (* bulk load into an empty heap goes through Floyd heapify; bulk load
-     into a non-empty heap falls back to per-element sift *)
-  let h = int_heap () in
-  Heap.push_list h [ 9; 2; 7; 2; 5 ];
-  Heap.push_list h [ 1; 8 ];
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "merged sorted" [ 1; 2; 2; 5; 7; 8; 9 ] (drain [])
-
 let test_heap_top_remove_top () =
   let h = int_heap () in
   Alcotest.(check int) "top of empty is dummy" 0 (Heap.top h);
@@ -269,18 +258,6 @@ let qcheck_heap_sorts =
         match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
       in
       drain [] = List.sort compare xs)
-
-let qcheck_heap_push_list_sorts =
-  QCheck.Test.make ~name:"heap push_list equals sequential pushes" ~count:300
-    QCheck.(pair (list int) (list int))
-    (fun (xs, ys) ->
-      let h = int_heap () in
-      Heap.push_list h xs;
-      Heap.push_list h ys;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare (xs @ ys))
 
 (* ------------------------------------------------------------------ *)
 (* Wheel                                                               *)
@@ -591,11 +568,9 @@ let suites =
         Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
         Alcotest.test_case "peek" `Quick test_heap_peek;
         Alcotest.test_case "clear" `Quick test_heap_clear;
-        Alcotest.test_case "push_list" `Quick test_heap_push_list;
         Alcotest.test_case "top/remove_top" `Quick test_heap_top_remove_top;
         Alcotest.test_case "no space retention" `Quick test_heap_no_space_retention;
         QCheck_alcotest.to_alcotest qcheck_heap_sorts;
-        QCheck_alcotest.to_alcotest qcheck_heap_push_list_sorts;
       ] );
     ( "engine.wheel",
       [

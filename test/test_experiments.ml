@@ -115,6 +115,24 @@ let test_runner_replication () =
   Alcotest.(check (float 1e-9)) "mean of seeds 5..14" 9.5 (Stats.Summary.mean s);
   Alcotest.(check int) "count" 10 (Stats.Summary.count s)
 
+(* --- committed results ------------------------------------------------ *)
+
+(* `dune exec` runs from the workspace root, `dune runtest` from
+   _build/default/test (the CSVs are deps of the test stanza) *)
+let results_dir = if Sys.file_exists "results" then "results" else "../results"
+
+(* the cheapest published tables rerun at full size and byte-compared
+   with the committed CSVs, so a change that moves a figure has to
+   regenerate results/ on purpose *)
+let test_results_match id () =
+  match Experiments.Registry.find id with
+  | None -> Alcotest.failf "no experiment %s" id
+  | Some e ->
+    let path = Filename.concat results_dir (id ^ ".csv") in
+    Alcotest.(check string) path
+      (In_channel.with_open_bin path In_channel.input_all)
+      (Report.to_csv (e.Experiments.Registry.run ~quick:false))
+
 let suites =
   [
     ( "experiments.report",
@@ -125,6 +143,10 @@ let suites =
       ] );
     ( "experiments.registry",
       [ Alcotest.test_case "complete" `Quick test_registry_complete ] );
+    ( "experiments.results",
+      List.map
+        (fun id -> Alcotest.test_case (id ^ " matches results/") `Slow (test_results_match id))
+        [ "fig3"; "fig4"; "ext_selection" ] );
     ( "experiments.shapes",
       [
         Alcotest.test_case "fig3 poisson" `Quick test_fig3_poisson_columns;

@@ -281,7 +281,7 @@ let test_send_to_self () =
 (* Build a member group whose sends go through the UDP transport and
    whose clock is the sim clock, then alternate socket drains with
    1 ms sim steps: datagrams travel for real, timers stay
-   deterministic. The harness below is the miniature of bench --net. *)
+   deterministic. *)
 let test_member_recovery_over_udp () =
   let size = 8 in
   let topology = Topology.single_region ~size in

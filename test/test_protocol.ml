@@ -112,8 +112,6 @@ let qcheck_gap_invariant =
 (* Model tests: windowed detector vs the set-based oracle              *)
 (* ------------------------------------------------------------------ *)
 
-module Gap_oracle = Protocol.Gap_oracle
-
 (* an event is (tag, seq): tags 0-3 deliver data, 4 is a session
    advertisement, 5-6 a repair — data-heavy like real traffic *)
 let apply_event d o (tag, seq) =

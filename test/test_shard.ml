@@ -554,8 +554,7 @@ let test_sharded_capacity_guard () =
 (* the spine acceptance budget: marginal per-region fixed cost. The
    per-region-scaffolding path paid 243.7 heap words and 3.0 Sim
    schedules per region; the per-shard spine must hold a >= 4x words
-   reduction and ~1 schedule (the region's injected data parcel). The
-   bench enforces the same budget on every full run. *)
+   reduction and ~1 schedule (the region's injected data parcel). *)
 let test_region_overhead_budget () =
   let words, scheds = Ext_scale.region_overhead () in
   Alcotest.(check bool)

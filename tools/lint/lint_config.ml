@@ -19,7 +19,6 @@ type t = {
   d4_dirs : string list;
   d4_allow : string list;  (* files allowed to read the environment *)
   h1_files : string list;  (* modules declared allocation-free *)
-  h2_files : string list;  (* modules with an exactly-0.0 words/op gate *)
   m1_dirs : string list;
   m1_exempt : string list;
   (* typed (cmt) pass *)
@@ -43,7 +42,6 @@ let default =
     d4_dirs = [ "lib" ];
     d4_allow = [];
     h1_files = [];
-    h2_files = [];
     m1_dirs = [ "lib" ];
     m1_exempt = [];
     typed_dirs = [ "lib" ];
@@ -122,7 +120,6 @@ let load path =
               | "d4", "dirs" -> { c with d4_dirs = v }
               | "d4", "allow_files" -> { c with d4_allow = v }
               | "h1", "files" -> { c with h1_files = v }
-              | "h2", "files" -> { c with h2_files = v }
               | "m1", "dirs" -> { c with m1_dirs = v }
               | "m1", "exempt" -> { c with m1_exempt = v }
               | "typed", "dirs" -> { c with typed_dirs = v }

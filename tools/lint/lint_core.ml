@@ -26,14 +26,6 @@
        [( @ )], [List.concat]/[concat_map]/[append], [( ^ )],
        [Printf.sprintf]/[Format.asprintf]. These modules carry a
        0.0-minor-words/op contract measured by the allocation suites.
-   H2  boxing hazards in the exact-zero modules listed by lint.toml —
-       inline [fun]/[function] literals in argument position (a
-       closure cell per call), option-boxing lookups
-       ([find_opt]/[assoc_opt]/[nth_opt]: a [Some] box per hit), and
-       [Some _]/tuple construction (constructor argument tuples are
-       not flagged — they are the constructor's own block). These are
-       the allocations small enough to hide from review but large
-       enough to fail an exactly-0.0 words/op gate.
    M1  every [lib/**/*.ml] has a matching [.mli]; interfaces are how
        the invariants above stay local.
    S1  suppression hygiene — every [@lint.allow] carries a known rule
@@ -78,7 +70,7 @@ type report = {
 (* P/E/A belong to the typed (cmt) layer in Lint_typed; they are
    registered here so S1 accepts their suppressions and both layers
    share one audit grammar. *)
-let known_rules = [ "D1"; "D2"; "D3"; "D4"; "H1"; "H2"; "M1"; "S1"; "P"; "E"; "A" ]
+let known_rules = [ "D1"; "D2"; "D3"; "D4"; "H1"; "M1"; "S1"; "P"; "E"; "A" ]
 
 (* ------------------------------------------------------------------ *)
 (* Path helpers (paths are root-relative, '/'-separated)               *)
@@ -146,9 +138,6 @@ let h1_banned =
     ("Format.asprintf", "allocates a formatter and a fresh string");
   ]
 
-(* H2: lookups whose hit path allocates a [Some] box *)
-let h2_opt_lookups = [ "find_opt"; "assoc_opt"; "nth_opt" ]
-
 let sort_heads =
   [
     "List.sort"; "List.stable_sort"; "List.fast_sort"; "List.sort_uniq";
@@ -174,9 +163,6 @@ type ctx = {
   mutable raw : finding list;
   mutable spans : suppression list;
   mutable sorted_spans : (int * int) list;  (* D2 auto-clear regions *)
-  mutable ctor_arg_tuples : Location.t list;
-      (* tuples that are a constructor's argument list, not a value:
-         [C (a, b)] parses as construct-of-tuple; H2 must not flag it *)
 }
 
 let add ctx ~loc ~rule ~message ~hint =
@@ -303,17 +289,7 @@ let check_ident ctx ~loc name =
          ~hint:
            "this module carries a 0-minor-words/op contract: preallocate, use rev_append off \
             the hot path, or move the formatting behind an observer gate"
-     | None -> ());
-  (* H2: option-boxing lookups in exact-zero modules *)
-  if in_files path cfg.h2_files then
-    match last_two name with
-    | Some (_, f) when List.mem f h2_opt_lookups ->
-      add ctx ~loc ~rule:"H2"
-        ~message:(Printf.sprintf "%s allocates a Some box on every hit" name)
-        ~hint:
-          "use find with an [exception Not_found ->] arm so the hit path returns the value \
-           unboxed"
-    | _ -> ()
+     | None -> ())
 
 let structural_operand e =
   match e.pexp_desc with
@@ -336,20 +312,6 @@ let id_operand cfg e =
 
 let check_apply ctx fn args ~loc =
   let cfg = ctx.cfg in
-  (* H2: an inline [fun] literal handed to a higher-order callee
-     allocates a closure cell (plus its captures) on every call *)
-  if in_files ctx.path cfg.h2_files then
-    List.iter
-      (fun ((_, a) : Asttypes.arg_label * expression) ->
-        match a.pexp_desc with
-        | Pexp_fun _ | Pexp_function _ ->
-          add ctx ~loc:a.pexp_loc ~rule:"H2"
-            ~message:"inline closure in argument position allocates on every call"
-            ~hint:
-              "hoist the function to a toplevel binding, or store the thunk once in a \
-               mutable field at creation time"
-        | _ -> ())
-      args;
   (* D2 auto-clear: a fold piped straight into a sort is fine *)
   (match head_ident fn with
    | Some "|>" -> (
@@ -404,26 +366,6 @@ let make_iterator ctx =
      | Pexp_ident { txt; loc } -> check_ident ctx ~loc (flat_ident txt)
      | Pexp_apply (fn, args) -> check_apply ctx fn args ~loc:e.pexp_loc
      | _ -> ());
-    (* H2: Some/tuple boxing in exact-zero modules. The iterator visits
-       parents first, so a constructor's argument tuple is registered
-       before the tuple node itself is reached. *)
-    (match e.pexp_desc with
-     | Pexp_construct ({ txt = Lident "Some"; _ }, Some _)
-       when in_files ctx.path ctx.cfg.h2_files ->
-       add ctx ~loc:e.pexp_loc ~rule:"H2"
-         ~message:"Some construction boxes the value on the hot path"
-         ~hint:
-           "restructure so the steady state carries the value unboxed (exception arm, \
-            sentinel, or a dedicated field)"
-     | Pexp_construct (_, Some { pexp_desc = Pexp_tuple _; pexp_loc = arg_loc; _ }) ->
-       ctx.ctor_arg_tuples <- arg_loc :: ctx.ctor_arg_tuples
-     | Pexp_tuple _
-       when in_files ctx.path ctx.cfg.h2_files
-            && not (List.mem e.pexp_loc ctx.ctor_arg_tuples) ->
-       add ctx ~loc:e.pexp_loc ~rule:"H2"
-         ~message:"tuple construction allocates a block on the hot path"
-         ~hint:"pass the components separately or pack them into an existing record/int"
-     | _ -> ());
     default_iterator.expr it e
   in
   let value_binding it vb =
@@ -474,7 +416,7 @@ let parse_error_finding ~path exn =
 (* Scan one file; returns raw findings (suppression not yet applied),
    suppression spans, and sorted-context spans. *)
 let scan_source cfg ~path ~source =
-  let ctx = { cfg; path; raw = []; spans = []; sorted_spans = []; ctor_arg_tuples = [] } in
+  let ctx = { cfg; path; raw = []; spans = []; sorted_spans = [] } in
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf path;
   (try

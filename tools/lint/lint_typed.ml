@@ -34,8 +34,7 @@
       every index, the second is the caller's contract.
 
    A  typed allocation — on the exactly-0.0-gated modules ([a] files
-      in lint.toml) the typed layer supersedes the textual H2
-      heuristics: a call to an intra-repo function whose result type
+      in lint.toml): a call to an intra-repo function whose result type
       is [float] boxes the return; a closure that captures locals
       inside a [for]/[while] loop allocates per iteration (closed
       closures are statically allocated and stay silent); a function
